@@ -260,12 +260,12 @@ func (g *Graph) accumulate(i entity.ID, others []entity.ID, inc float64, skipSel
 }
 
 // computeDegrees fills g.degrees with |vi| — the number of distinct
-// neighbors of every node — via ScanCount passes sharded over disjoint
-// node ranges (each worker owns a private scratch shard, and the ranges
+// neighbors of every node — via ScanCount passes over dynamically pulled
+// node chunks (each worker owns a private scratch shard, and the chunks
 // write disjoint g.degrees indices).
 func (g *Graph) computeDegrees(workers int) {
 	g.degrees = make([]int32, g.blocks.NumEntities)
-	g.parallelRanges(workers, func(w *Graph, _, lo, hi int) {
+	g.parallelChunks(workers, func(w *Graph, _, _, lo, hi int) {
 		tick := obsTick{o: w.obs, m: w.meter}
 		for id := lo; id < hi; id++ {
 			if tick.step() {

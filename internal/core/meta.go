@@ -117,9 +117,9 @@ func pruneTicks(a Algorithm, c *block.Collection) int64 {
 		return edge
 	case WEP:
 		return 2 * edge
-	case RedefinedWNP, ReciprocalWNP:
+	case RedefinedWNP:
 		return node + edge
-	default: // CNP, WNP, RedefinedCNP, ReciprocalCNP: one node-centric pass
+	default: // CNP, WNP, RedefinedCNP, ReciprocalCNP, ReciprocalWNP: one node-centric pass
 		return node
 	}
 }

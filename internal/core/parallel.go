@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"metablocking/internal/arena"
 	"metablocking/internal/entity"
@@ -14,7 +13,7 @@ import (
 // shard returns a Graph view sharing the immutable state (blocks, Entity
 // Index, per-block cardinalities, degrees) but with private ScanCount
 // scratch, so multiple shards can traverse concurrently. Scratch comes
-// from the graph's pool; parallelRanges recycles it when the shard's work
+// from the graph's pool; parallelChunks recycles it when the shard's work
 // is done.
 func (g *Graph) shard() *Graph {
 	ng := *g
@@ -114,45 +113,48 @@ func (g *Graph) meanOf(xs []float64) float64 {
 	return a.Sum() / float64(len(xs))
 }
 
-// parallelRanges splits [0, n) into roughly equal chunks, one per worker,
-// and runs fn(worker, lo, hi) concurrently on shard copies of the graph.
-// workers must already be resolved with par.Resolve; trailing workers with
-// an empty chunk are not started, so fn may index per-worker buckets with
-// its worker argument directly.
-func (g *Graph) parallelRanges(workers int, fn func(w *Graph, worker, lo, hi int)) {
+// parallelChunks runs fn over the par.Chunks of [0, NumEntities): chunks
+// are pulled dynamically, so an ID range whose neighborhoods are heavy
+// (e.g. a verbose source listed after a terse one) is spread over every
+// worker instead of landing on one. Each worker goroutine traverses on its
+// own shard of the graph (private ScanCount scratch, recycled afterwards);
+// a serial run (workers ≤ 1) traverses on g itself. fn may keep per-worker
+// state indexed by worker and order-sensitive output in buckets of size
+// par.NumChunks(workers, NumEntities) indexed by chunk. workers must
+// already be resolved with par.Resolve.
+func (g *Graph) parallelChunks(workers int, fn func(w *Graph, worker, chunk, lo, hi int)) {
 	n := g.blocks.NumEntities
 	if workers <= 1 {
-		fn(g, 0, 0, n)
+		par.Chunks(1, n, func(_, chunk, lo, hi int) { fn(g, 0, chunk, lo, hi) })
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	shards := make([]*Graph, workers)
+	par.Chunks(workers, n, func(worker, chunk, lo, hi int) {
+		// A chunk may be shorter than the traversals' cancellation stride,
+		// so poll once per chunk too.
+		if g.obs.Canceled() {
+			return
 		}
-		if lo >= hi {
-			break
+		s := shards[worker]
+		if s == nil {
+			s = g.shard()
+			shards[worker] = s
 		}
-		wg.Add(1)
-		go func(worker, lo, hi int) {
-			defer wg.Done()
-			s := g.shard()
-			fn(s, worker, lo, hi)
+		fn(s, worker, chunk, lo, hi)
+	})
+	for _, s := range shards {
+		if s != nil {
 			g.scratchPool.Put(s.sc)
-		}(w, lo, hi)
+		}
 	}
-	wg.Wait()
 }
 
 // PruneParallel applies the pruning algorithm using the given number of
 // workers (0 or negative = GOMAXPROCS) and returns the same retained
 // comparisons as Prune, in a canonical order. It supports the Optimized
-// Edge Weighting only; node-centric sharding by ID range keeps every
-// neighborhood on one worker, so the per-node criteria are computed exactly
-// as in the serial implementation.
+// Edge Weighting only; every neighborhood is scanned whole by the worker
+// that pulled its node's chunk, so the per-node criteria are computed
+// exactly as in the serial implementation.
 func (g *Graph) PruneParallel(a Algorithm, workers int) []entity.Pair {
 	if workers == 0 {
 		workers = -1 // historical PruneParallel convention: 0 = GOMAXPROCS
@@ -173,9 +175,9 @@ func (g *Graph) PruneParallel(a Algorithm, workers int) []entity.Pair {
 	case ReciprocalCNP:
 		return g.redefinedCNPParallel(true, workers)
 	case RedefinedWNP:
-		return g.redefinedWNPParallel(false, workers)
+		return g.redefinedWNPParallel(workers)
 	case ReciprocalWNP:
-		return g.redefinedWNPParallel(true, workers)
+		return g.reciprocalWNPParallel(workers)
 	default:
 		out := g.Prune(a)
 		sortPairs(out)
@@ -232,12 +234,12 @@ func sortPairs(pairs []entity.Pair) {
 	pairKeys.Put(b)
 }
 
-// assembleRangeBuckets turns per-worker buckets produced from disjoint
-// ascending emitting-endpoint ranges (forEachEdgeRange, the mark reducers)
-// into one canonically ordered slice: each bucket is sorted concurrently,
-// and because bucket b's pairs all have smaller A than bucket b+1's, the
-// sorted buckets concatenate into a globally sorted result — no k-way
-// merge and no global sort.
+// assembleRangeBuckets turns per-chunk buckets produced from disjoint
+// ascending emitting-endpoint ranges (forEachEdgeRange, the Reciprocal WNP
+// candidate runs) into one canonically ordered slice: each bucket is
+// sorted concurrently, and because bucket b's pairs all have smaller A
+// than bucket b+1's, the sorted buckets concatenate into a globally sorted
+// result — no k-way merge and no global sort.
 func assembleRangeBuckets(buckets [][]entity.Pair) []entity.Pair {
 	sortBucketsConcurrently(buckets)
 	total := 0
@@ -251,7 +253,7 @@ func assembleRangeBuckets(buckets [][]entity.Pair) []entity.Pair {
 	return out
 }
 
-// assembleNodeBuckets merges per-worker buckets whose pairs may interleave
+// assembleNodeBuckets merges buckets whose pairs may interleave
 // across the whole ID space (node-centric traversals emit MakePair(i, j)
 // with j on either side of the worker's range): each bucket is sorted
 // concurrently, then adjacent runs are merged pairwise — also
@@ -341,9 +343,9 @@ func (g *Graph) wepParallel(workers int) []entity.Pair {
 	// Pass 1: per-worker exact partial sums (no edge weight is ever
 	// materialized). The exact sum is a property of the weight multiset, so
 	// the resulting mean is bit-identical to the serial threshold for every
-	// worker count.
+	// worker count and chunk schedule.
 	accs := make([]floatsum.Acc, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
+	g.parallelChunks(workers, func(w *Graph, worker, _, lo, hi int) {
 		acc := &accs[worker]
 		w.forEachEdgeRange(lo, hi, func(_, _ entity.ID, wt float64) {
 			acc.Add(wt)
@@ -358,16 +360,16 @@ func (g *Graph) wepParallel(workers int) []entity.Pair {
 	}
 	mean := total.Mean()
 
-	// Pass 2: retain in per-worker buckets over disjoint A ranges.
-	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
+	// Pass 2: retain in per-chunk buckets over disjoint ascending A ranges.
+	buckets := make([][]entity.Pair, par.NumChunks(workers, g.blocks.NumEntities))
+	g.parallelChunks(workers, func(w *Graph, _, chunk, lo, hi int) {
 		var local []entity.Pair
 		w.forEachEdgeRange(lo, hi, func(i, j entity.ID, wt float64) {
 			if wt >= mean {
 				local = append(local, entity.MakePair(i, j))
 			}
 		})
-		buckets[worker] = local
+		buckets[chunk] = local
 	})
 	return assembleRangeBuckets(buckets)
 }
@@ -377,13 +379,18 @@ func (g *Graph) cepParallel(workers int) []entity.Pair {
 	if k == 0 {
 		return nil
 	}
+	// Per-worker top-K heaps: beats is a total order, so the global top-K
+	// of their union does not depend on which worker saw which edge.
 	heaps := make([]*edgeHeap, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		h := newEdgeHeap(k)
+	g.parallelChunks(workers, func(w *Graph, worker, _, lo, hi int) {
+		h := heaps[worker]
+		if h == nil {
+			h = newEdgeHeap(k)
+			heaps[worker] = h
+		}
 		w.forEachEdgeRange(lo, hi, func(i, j entity.ID, wt float64) {
 			h.offer(wt, i, j)
 		})
-		heaps[worker] = h
 	})
 	// Merge: the global top-K of the per-worker top-Ks.
 	final := newEdgeHeap(k)
@@ -403,12 +410,20 @@ func (g *Graph) cepParallel(workers int) []entity.Pair {
 	return out
 }
 
+// cnpParallel and wnpParallel keep one bucket per worker: assembleNodeBuckets
+// sorts and merges every bucket, and duplicate pairs are indistinguishable,
+// so the result does not depend on which worker pulled which chunk.
 func (g *Graph) cnpParallel(workers int) []entity.Pair {
 	k := g.CardinalityNodeThreshold()
 	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		h := newEdgeHeap(k)
-		var local []entity.Pair
+	heaps := make([]*edgeHeap, workers)
+	g.parallelChunks(workers, func(w *Graph, worker, _, lo, hi int) {
+		h := heaps[worker]
+		if h == nil {
+			h = newEdgeHeap(k)
+			heaps[worker] = h
+		}
+		local := buckets[worker]
 		w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
 			h.reset()
 			for n, j := range neighbors {
@@ -425,8 +440,8 @@ func (g *Graph) cnpParallel(workers int) []entity.Pair {
 
 func (g *Graph) wnpParallel(workers int) []entity.Pair {
 	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		var local []entity.Pair
+	g.parallelChunks(workers, func(w *Graph, worker, _, lo, hi int) {
+		local := buckets[worker]
 		w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
 			threshold := w.meanOf(weights)
 			for n, j := range neighbors {
@@ -458,9 +473,13 @@ func (g *Graph) redefinedCNPParallel(reciprocal bool, workers int) []entity.Pair
 	n := g.blocks.NumEntities
 	reducers := workers
 	marks := make([][][]pairMark, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		local := make([][]pairMark, reducers)
-		h := newEdgeHeap(k)
+	heaps := make([]*edgeHeap, workers)
+	g.parallelChunks(workers, func(w *Graph, worker, _, lo, hi int) {
+		local, h := marks[worker], heaps[worker]
+		if h == nil {
+			local, h = make([][]pairMark, reducers), newEdgeHeap(k)
+			heaps[worker] = h
+		}
 		w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
 			h.reset()
 			for nn, j := range neighbors {
@@ -531,23 +550,55 @@ func reduceMarkShard(marks [][][]pairMark, r int, reciprocal bool) []entity.Pair
 	return out
 }
 
-func (g *Graph) redefinedWNPParallel(reciprocal bool, workers int) []entity.Pair {
+// redefinedWNPParallel is Redefined WNP's two passes over chunks: the node
+// pass fixes every threshold, then the edge pass keeps an edge meeting
+// either endpoint's. The OR needs the edges below the emitting endpoint's
+// own threshold, so the edge pass cannot be folded into the node pass the
+// way reciprocalWNPParallel folds it.
+func (g *Graph) redefinedWNPParallel(workers int) []entity.Pair {
 	thresholds := make([]float64, g.blocks.NumEntities)
-	g.parallelRanges(workers, func(w *Graph, _, lo, hi int) {
+	g.parallelChunks(workers, func(w *Graph, _, _, lo, hi int) {
 		w.forEachNodeRange(lo, hi, func(i entity.ID, _ []entity.ID, weights []float64) {
-			thresholds[i] = w.meanOf(weights) // disjoint index ranges: no race
+			thresholds[i] = w.meanOf(weights) // disjoint chunk ranges: no race
 		})
 	})
-	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
+	buckets := make([][]entity.Pair, par.NumChunks(workers, g.blocks.NumEntities))
+	g.parallelChunks(workers, func(w *Graph, _, chunk, lo, hi int) {
 		var local []entity.Pair
 		w.forEachEdgeRange(lo, hi, func(i, j entity.ID, wt float64) {
-			okI, okJ := wt >= thresholds[i], wt >= thresholds[j]
-			if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
+			if wt >= thresholds[i] || wt >= thresholds[j] {
 				local = append(local, entity.MakePair(i, j))
 			}
 		})
-		buckets[worker] = local
+		buckets[chunk] = local
+	})
+	return assembleRangeBuckets(buckets)
+}
+
+// reciprocalWNPParallel is the single-pass Reciprocal WNP of reciprocalWNP
+// over chunks: each chunk's node pass fixes its thresholds and keeps its
+// candidate runs; after the barrier every threshold is final, and each
+// chunk's runs are filtered against the other endpoint's threshold and
+// freed. A chunk's candidates all have A = i inside the chunk, so the
+// per-chunk buckets cover disjoint ascending A ranges.
+func (g *Graph) reciprocalWNPParallel(workers int) []entity.Pair {
+	n := g.blocks.NumEntities
+	thresholds := make([]float64, n)
+	cands := make([]wnpCandidates, par.NumChunks(workers, n))
+	g.parallelChunks(workers, func(w *Graph, _, chunk, lo, hi int) {
+		var c wnpCandidates
+		w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
+			thresholds[i] = w.meanOf(weights) // disjoint chunk ranges: no race
+			c.add(i, neighbors, weights, thresholds[i])
+		})
+		cands[chunk] = c
+	})
+	buckets := make([][]entity.Pair, len(cands))
+	par.Chunks(workers, len(cands), func(_, _, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			buckets[c] = cands[c].retained(thresholds)
+			cands[c] = wnpCandidates{}
+		}
 	})
 	return assembleRangeBuckets(buckets)
 }

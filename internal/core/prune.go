@@ -107,9 +107,9 @@ func (g *Graph) Prune(a Algorithm) []entity.Pair {
 	case ReciprocalCNP:
 		return g.redefinedCNP(true)
 	case RedefinedWNP:
-		return g.redefinedWNP(false)
+		return g.redefinedWNP()
 	case ReciprocalWNP:
-		return g.redefinedWNP(true)
+		return g.reciprocalWNP()
 	default:
 		panic(fmt.Sprintf("core: unknown pruning algorithm %d", int(a)))
 	}
@@ -231,22 +231,96 @@ func (g *Graph) redefinedCNP(reciprocal bool) []entity.Pair {
 	return collectMarks(marks, reciprocal)
 }
 
-// redefinedWNP implements Algorithm 5 (reciprocal=false) and Reciprocal
-// WNP (reciprocal=true): a node-centric pass derives every neighborhood's
-// weight threshold, then one edge-centric pass retains edges meeting the
-// threshold of either (OR) or both (AND) endpoints.
-func (g *Graph) redefinedWNP(reciprocal bool) []entity.Pair {
+// redefinedWNP implements Algorithm 5: a node-centric pass derives every
+// neighborhood's weight threshold, then one edge-centric pass retains
+// edges meeting the threshold of either endpoint.
+func (g *Graph) redefinedWNP() []entity.Pair {
 	thresholds := make([]float64, g.blocks.NumEntities)
 	g.nodes(func(i entity.ID, _ []entity.ID, weights []float64) {
 		thresholds[i] = g.meanOf(weights)
 	})
 	var out []entity.Pair
 	g.edges(func(i, j entity.ID, w float64) {
-		okI, okJ := w >= thresholds[i], w >= thresholds[j]
-		if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
+		if w >= thresholds[i] || w >= thresholds[j] {
 			out = append(out, entity.MakePair(i, j))
 		}
 	})
+	return out
+}
+
+// reciprocalWNP implements Reciprocal WNP (§5.2), which retains an edge
+// only if it meets the weight thresholds of both endpoints, in a single
+// node-centric pass. Node i's pass fixes thresholds[i] and keeps, as
+// candidates, the neighbors j > i whose edge meets it; once every
+// threshold is known, the candidates meeting thresholds[j] too are the
+// result. Edge weights are canonicalized across endpoints (see
+// weightContext.weight), so the weight seen from i has the bits the
+// edge-centric pass would compute, and keeping only j > i yields every
+// edge once, from its smaller endpoint — the edge pass's emitting endpoint
+// for Dirty ER and, since E1 IDs precede E2 IDs, for Clean-Clean ER too.
+func (g *Graph) reciprocalWNP() []entity.Pair {
+	thresholds := make([]float64, g.blocks.NumEntities)
+	var c wnpCandidates
+	g.nodes(func(i entity.ID, neighbors []entity.ID, weights []float64) {
+		thresholds[i] = g.meanOf(weights)
+		c.add(i, neighbors, weights, thresholds[i])
+	})
+	return c.retained(thresholds)
+}
+
+// wnpCandidates holds Reciprocal WNP's candidates for a range of nodes as
+// compact per-node runs: the candidate neighbors and their edge weights in
+// two flat arrays, plus one (node, end offset) entry per node that has
+// any. That is 12 bytes per candidate, not a pair plus a weight each.
+type wnpCandidates struct {
+	runs    []wnpRun
+	js      []entity.ID
+	weights []float64
+}
+
+// wnpRun is one node's candidates: js[prev.end:end] and weights[prev.end:end].
+type wnpRun struct {
+	i   entity.ID
+	end int
+}
+
+// add records node i's neighbors j > i whose edge weight meets i's own
+// threshold.
+func (c *wnpCandidates) add(i entity.ID, neighbors []entity.ID, weights []float64, threshold float64) {
+	start := len(c.js)
+	for n, j := range neighbors {
+		if j > i && weights[n] >= threshold {
+			c.js = append(c.js, j)
+			c.weights = append(c.weights, weights[n])
+		}
+	}
+	if len(c.js) > start {
+		c.runs = append(c.runs, wnpRun{i: i, end: len(c.js)})
+	}
+}
+
+// retained returns, in run order, the candidate pairs whose weight also
+// meets the other endpoint's threshold (nil if none), sized exactly.
+func (c *wnpCandidates) retained(thresholds []float64) []entity.Pair {
+	count := 0
+	for k, j := range c.js {
+		if c.weights[k] >= thresholds[j] {
+			count++
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]entity.Pair, 0, count)
+	start := 0
+	for _, r := range c.runs {
+		for k := start; k < r.end; k++ {
+			if j := c.js[k]; c.weights[k] >= thresholds[j] {
+				out = append(out, entity.Pair{A: r.i, B: j})
+			}
+		}
+		start = r.end
+	}
 	return out
 }
 
@@ -260,4 +334,3 @@ func collectMarks(marks map[entity.Pair]uint8, reciprocal bool) []entity.Pair {
 	}
 	return out
 }
-

@@ -1,15 +1,22 @@
 // Package par holds the small shared machinery of the parallel pipeline:
-// worker-count resolution, deterministic range fan-out, and panic
-// isolation. Every parallel stage (blocking, filtering, Entity Index
-// construction, graph traversal) partitions its input into one contiguous
-// range per worker, so results can be merged back in worker order without
-// any cross-worker coordination.
+// worker-count resolution, range fan-out, and panic isolation.
+//
+// Two fan-outs exist. Ranges gives each worker one contiguous range; it
+// suits stages whose cost per index is even and whose callers keep
+// per-worker arrays sized to the whole input. Chunks cuts the input into
+// many more ascending chunks than workers and lets the workers pull them
+// through an atomic counter, so a skewed input (expensive IDs bunched at
+// one end) still keeps every worker busy. Determinism never rests on which
+// worker ran what: callers keep order-sensitive output in buckets indexed
+// by chunk — chunk c's range lies below chunk c+1's, so sorted buckets
+// concatenate in order — and keep only order-free state (scratch, exact
+// partial sums, heaps under a total order) per worker.
 //
 // A panic inside a worker goroutine would normally kill the whole process
-// — there is no recovering another goroutine's panic. Ranges and Do
-// therefore recover inside each worker, let every other worker drain, and
-// re-panic the first captured panic as a *PanicError (stack attached) on
-// the calling goroutine, where a top-level recover (Pipeline.RunContext,
+// — there is no recovering another goroutine's panic. Ranges, Chunks and
+// Do therefore recover inside each worker, let every other worker drain,
+// and re-panic the first captured panic as a *PanicError (stack attached)
+// on the calling goroutine, where a top-level recover (Pipeline.RunContext,
 // the server's flush loop) can turn it into an ordinary error.
 package par
 
@@ -114,6 +121,83 @@ func Ranges(workers, n int, fn func(worker, lo, hi int)) {
 				first.CompareAndSwap(nil, pe)
 			}
 		}(w, lo, hi)
+	}
+	wg.Wait()
+	if pe := first.Load(); pe != nil {
+		panic(pe)
+	}
+}
+
+// chunksPerWorker is how many chunks Chunks cuts the input into per
+// worker: enough that the last chunks to finish are short next to the
+// whole stage, few enough that per-chunk buckets stay cheap to assemble.
+const chunksPerWorker = 64
+
+// NumChunks returns how many chunks Chunks(workers, n, ...) runs, so
+// callers can size chunk-indexed buckets: one chunk for a serial run,
+// chunksPerWorker per worker otherwise, never more than n (0 for n == 0).
+func NumChunks(workers, n int) int {
+	c := 1
+	if workers > 1 {
+		c = chunksPerWorker * workers
+	}
+	if c > n {
+		c = n
+	}
+	return c
+}
+
+// Chunks splits [0, n) into NumChunks(workers, n) ascending chunks of
+// near-equal length and runs fn(worker, chunk, lo, hi) for each, pulled in
+// ascending chunk order by min(workers, chunks) goroutines. workers must
+// already be resolved (≥ 1); a single worker runs every chunk inline. Each
+// worker index is used by one goroutine only, so fn may keep per-worker
+// state indexed by worker without locking; chunk indexes per-chunk output.
+//
+// A panic inside fn does not kill the process: the other workers stop
+// pulling chunks and drain, then the first captured panic is re-raised on
+// the calling goroutine as a *PanicError carrying the worker's stack.
+func Chunks(workers, n int, fn func(worker, chunk, lo, hi int)) {
+	chunks := NumChunks(workers, n)
+	bounds := func(c int) (int, int) { return c * n / chunks, (c + 1) * n / chunks }
+	if workers <= 1 {
+		pe := guard(func() {
+			for c := 0; c < chunks; c++ {
+				lo, hi := bounds(c)
+				fn(0, c, lo, hi)
+			}
+		})
+		if pe != nil {
+			panic(pe)
+		}
+		return
+	}
+	if workers > chunks {
+		workers = chunks
+	}
+	var (
+		wg    sync.WaitGroup
+		next  atomic.Int64
+		first atomic.Pointer[PanicError]
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(worker int) {
+			defer wg.Done()
+			pe := guard(func() {
+				for first.Load() == nil {
+					c := int(next.Add(1) - 1)
+					if c >= chunks {
+						return
+					}
+					lo, hi := bounds(c)
+					fn(worker, c, lo, hi)
+				}
+			})
+			if pe != nil {
+				first.CompareAndSwap(nil, pe)
+			}
+		}(w)
 	}
 	wg.Wait()
 	if pe := first.Load(); pe != nil {

@@ -127,3 +127,114 @@ func TestRecoveredIdempotent(t *testing.T) {
 		t.Fatalf("nested panic = %+v", pe)
 	}
 }
+
+// TestChunksCoversEachIndexOnce: every index of [0, n) is visited exactly
+// once, chunk indices are dense, and chunk c's range lies directly below
+// chunk c+1's — including n below the chunk count, more workers than
+// chunks, and an empty input.
+func TestChunksCoversEachIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 7, 500} {
+		for _, n := range []int{0, 1, 5, 63, 64, 1000, 12345} {
+			chunks := NumChunks(workers, n)
+			if chunks > n || (n > 0 && chunks < 1) {
+				t.Fatalf("workers=%d n=%d: NumChunks = %d", workers, n, chunks)
+			}
+			visits := make([]atomic.Int32, n)
+			los := make([]int, chunks)
+			his := make([]int, chunks)
+			var calls atomic.Int32
+			Chunks(workers, n, func(worker, chunk, lo, hi int) {
+				if worker < 0 || worker >= workers {
+					t.Errorf("workers=%d n=%d: worker index %d", workers, n, worker)
+				}
+				calls.Add(1)
+				los[chunk], his[chunk] = lo, hi
+				for i := lo; i < hi; i++ {
+					visits[i].Add(1)
+				}
+			})
+			if int(calls.Load()) != chunks {
+				t.Fatalf("workers=%d n=%d: %d calls for %d chunks", workers, n, calls.Load(), chunks)
+			}
+			for i := range visits {
+				if v := visits[i].Load(); v != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, v)
+				}
+			}
+			for c := 0; c < chunks; c++ {
+				if los[c] >= his[c] {
+					t.Fatalf("workers=%d n=%d: chunk %d is empty [%d, %d)", workers, n, c, los[c], his[c])
+				}
+				if c > 0 && los[c] != his[c-1] {
+					t.Fatalf("workers=%d n=%d: chunk %d starts at %d, chunk %d ends at %d",
+						workers, n, c, los[c], c-1, his[c-1])
+				}
+			}
+		}
+	}
+}
+
+// TestChunksOutputsConcatenateInOrder: per-chunk outputs written by
+// whichever worker pulled the chunk concatenate into the ascending input,
+// whatever the interleaving.
+func TestChunksOutputsConcatenateInOrder(t *testing.T) {
+	const n = 5000
+	for _, workers := range []int{1, 2, 4} {
+		out := make([][]int, NumChunks(workers, n))
+		Chunks(workers, n, func(_, chunk, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[chunk] = append(out[chunk], i)
+			}
+		})
+		next := 0
+		for _, o := range out {
+			for _, v := range o {
+				if v != next {
+					t.Fatalf("workers=%d: got %d, want %d", workers, v, next)
+				}
+				next++
+			}
+		}
+		if next != n {
+			t.Fatalf("workers=%d: concatenation has %d of %d indices", workers, next, n)
+		}
+	}
+}
+
+// TestChunksPanicDrains: a panicking chunk re-raises once as a
+// *PanicError on the caller, and only after every other worker has left
+// fn — no chunk is still running when the caller recovers.
+func TestChunksPanicDrains(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		chunks := NumChunks(workers, 1000)
+		panicAt := chunks / 2
+		var running, finished atomic.Int64
+		var pe *PanicError
+		func() {
+			defer func() { pe = Recovered(recover()) }()
+			Chunks(workers, 1000, func(_, chunk, _, _ int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if chunk == panicAt {
+					panic("chunk boom")
+				}
+				finished.Add(1)
+			})
+			t.Fatalf("workers=%d: no panic propagated", workers)
+		}()
+		if pe == nil || pe.Value != "chunk boom" {
+			t.Fatalf("workers=%d: PanicError = %+v", workers, pe)
+		}
+		if !strings.Contains(string(pe.Stack), "goroutine") {
+			t.Fatalf("workers=%d: no stack captured", workers)
+		}
+		if r := running.Load(); r != 0 {
+			t.Fatalf("workers=%d: %d chunks still running after the re-panic", workers, r)
+		}
+		// Every chunk pulled before the panicking one ran to completion;
+		// the panicking one never finishes.
+		if f := finished.Load(); f < int64(panicAt) || f >= int64(chunks) {
+			t.Fatalf("workers=%d: %d chunks finished", workers, f)
+		}
+	}
+}

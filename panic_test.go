@@ -71,3 +71,25 @@ func TestRunContextRecoversWorkerPanic(t *testing.T) {
 		t.Fatalf("error = %v (%T), want *PanicError", err, err)
 	}
 }
+
+// TestRunContextRecoversPruneWorkerPanic: a panic raised inside a prune
+// worker goroutine — an out-of-range scheme reaches the weight function
+// only there, after blocking and filtering have succeeded — comes back
+// from RunContext as a *PanicError, for node- and edge-centric pruning.
+func TestRunContextRecoversPruneWorkerPanic(t *testing.T) {
+	ds := GenerateDataset(D1D, 0.05)
+	for _, alg := range []Algorithm{WNP, ReciprocalWNP, WEP} {
+		p := Pipeline{FilterRatio: 0.8, Scheme: Scheme(99), Algorithm: alg, Workers: 2}
+		res, err := p.RunContext(context.Background(), ds.Collection)
+		if res != nil {
+			t.Fatalf("%v: panicking run returned a result", alg)
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%v: error = %v (%T), want *PanicError", alg, err, err)
+		}
+		if msg, _ := pe.Value.(string); !strings.Contains(msg, "unknown weighting scheme") {
+			t.Fatalf("%v: recovered value = %v", alg, pe.Value)
+		}
+	}
+}

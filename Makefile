@@ -67,14 +67,14 @@ bench-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServerResolve' ./internal/server
 
 ## bench-json: emit the headline benchmark trajectory as JSON
-## (BENCH_PR10.json format: ns/op, B/op, allocs/op, p50/p99 latency,
+## (BENCH_PR13.json format: ns/op, B/op, allocs/op, p50/p99 latency,
 ## streamed comparisons/ms).
 bench-json:
 	sh scripts/bench_json.sh
 
 ## bench-gate: re-run the headline benchmarks and fail if a gated metric
-## regressed beyond its tolerance vs the committed BENCH_PR10.json.
+## regressed beyond its tolerance vs the committed BENCH_PR13.json.
 ## allocs/op is always gated (hardware-independent); add -ns via
 ## BENCH_GATE_FLAGS for same-machine wall-clock gating.
 bench-gate:
-	$(GO) run ./cmd/benchjson gate -baseline BENCH_PR10.json $(BENCH_GATE_FLAGS)
+	$(GO) run ./cmd/benchjson gate -baseline BENCH_PR13.json $(BENCH_GATE_FLAGS)

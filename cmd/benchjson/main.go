@@ -1,6 +1,6 @@
 // Command benchjson emits the repository's headline benchmark numbers as
 // machine-readable JSON and gates a fresh run against a committed
-// trajectory file (BENCH_PR10.json), failing on regressions.
+// trajectory file (BENCH_PR13.json), failing on regressions.
 //
 // Two modes:
 //
@@ -17,7 +17,7 @@
 //	    (commit_wal_off / commit_wal_interval / commit_wal_always —
 //	    what the durability ladder costs per acknowledged write).
 //
-//	benchjson gate -baseline BENCH_PR10.json [-current fresh.json] [-ns]
+//	benchjson gate -baseline BENCH_PR13.json [-current fresh.json] [-ns]
 //	    compares a current emit against the baseline's benchmarks
 //	    section and exits non-zero when a gated metric regressed beyond
 //	    its tolerance. allocs/op is always gated — it is
@@ -98,7 +98,7 @@ func main() {
 		writeJSON(*out, f)
 	case "gate":
 		fs := flag.NewFlagSet("gate", flag.ExitOnError)
-		basePath := fs.String("baseline", "BENCH_PR10.json", "committed trajectory file")
+		basePath := fs.String("baseline", "BENCH_PR13.json", "committed trajectory file")
 		curPath := fs.String("current", "", "fresh emit to compare (default: run emit now)")
 		threshold := fs.String("threshold", "0.10", "default regression tolerance (fraction)")
 		gateNs := fs.Bool("ns", false, "also gate ns/op and latency percentiles (same-machine runs only)")
@@ -155,7 +155,8 @@ func runAll() map[string]Bench {
 // server, so each op is one acknowledged write including its append
 // and — under "always" — its own group-commit fsync barrier (a batch
 // of one: the worst case; concurrent load amortizes the barrier over
-// the whole micro-batch). The memtable budget is high enough that
+// the arrivals queued during the previous flush). The memtable budget
+// is high enough that
 // nothing checkpoints, isolating the commit cost from seal cost.
 func benchCommit(policy string) Bench {
 	profiles := benchProfiles(1000)
@@ -165,12 +166,11 @@ func benchCommit(policy string) Bench {
 	}
 	defer os.RemoveAll(root)
 	s, err := server.New(server.Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		BatchWindow: 200 * time.Microsecond,
-		MaxBatch:    64,
-		QueueDepth:  8192,
-		DiskDir:     root,
-		WALSync:     policy,
+		Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+		MaxBatch:   64,
+		QueueDepth: 8192,
+		DiskDir:    root,
+		WALSync:    policy,
 	})
 	if err != nil {
 		fatalf("commit bench: %v", err)
@@ -226,17 +226,16 @@ func benchPipeline() Bench {
 }
 
 // benchServerResolve mirrors BenchmarkServerResolve(Shards): the batched
-// resolve path end to end with concurrent submitters so micro-batches
+// resolve path end to end with concurrent submitters so batches
 // coalesce, serving either the monolithic index (shards == 1) or the
 // scatter-gather coordinator.
 func benchServerResolve(shards int) Bench {
 	profiles := benchProfiles(1000)
 	s, err := server.New(server.Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		Shards:      shards,
-		BatchWindow: 200 * time.Microsecond,
-		MaxBatch:    64,
-		QueueDepth:  8192,
+		Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+		Shards:     shards,
+		MaxBatch:   64,
+		QueueDepth: 8192,
 	})
 	if err != nil {
 		fatalf("server: %v", err)
@@ -268,10 +267,9 @@ func benchServerLatency() Bench {
 	const clients, perClient = 8, 500
 	profiles := benchProfiles(1000)
 	s, err := server.New(server.Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		BatchWindow: 200 * time.Microsecond,
-		MaxBatch:    64,
-		QueueDepth:  8192,
+		Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+		MaxBatch:   64,
+		QueueDepth: 8192,
 	})
 	if err != nil {
 		fatalf("server: %v", err)
@@ -320,10 +318,9 @@ func benchBudgetStream() Bench {
 	const clients, requests = 8, 2000
 	profiles := benchProfiles(1000)
 	s, err := server.New(server.Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		BatchWindow: 200 * time.Microsecond,
-		MaxBatch:    64,
-		QueueDepth:  8192,
+		Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+		MaxBatch:   64,
+		QueueDepth: 8192,
 		Tiers: []budget.Tier{
 			{Name: budget.TierInteractive, Slots: 64, DefaultBudget: 250 * time.Millisecond},
 			{Name: budget.TierBatch, Slots: 8, DefaultBudget: 5 * time.Second},

@@ -1,5 +1,5 @@
 // Command serve runs the online Entity Resolution query service: an
-// HTTP/JSON façade over the incremental resolver that micro-batches
+// HTTP/JSON façade over the incremental resolver that group-commits
 // concurrent /v1/resolve requests into single index passes, sheds load
 // with 429 + Retry-After when its bounded admission queue fills, and
 // hot-swaps pre-blocked snapshots (written by internal/store) via
@@ -87,7 +87,6 @@ type options struct {
 	wal         bool
 	walSync     string
 	walInterval time.Duration
-	batchWindow time.Duration
 	batchMax    int
 	queueDepth  int
 	retryAfter  time.Duration
@@ -125,7 +124,6 @@ func main() {
 	flag.BoolVar(&opts.wal, "wal", true, "write-ahead-log every commit before acknowledging it (-disk-dir mode; false trades crash durability for speed)")
 	flag.StringVar(&opts.walSync, "wal-sync", "always", "WAL fsync policy: always (group-commit barrier per batch), interval, off (-disk-dir mode)")
 	flag.DurationVar(&opts.walInterval, "wal-sync-interval", 100*time.Millisecond, "fsync cadence for -wal-sync=interval")
-	flag.DurationVar(&opts.batchWindow, "batch-window", 2*time.Millisecond, "max wait for more arrivals before flushing a micro-batch")
 	flag.IntVar(&opts.batchMax, "batch-max", 64, "max arrivals per index pass")
 	flag.IntVar(&opts.queueDepth, "queue", 1024, "admission queue bound; overflow sheds with 429")
 	flag.DurationVar(&opts.retryAfter, "retry-after", time.Second, "advisory back-off sent with 429 responses")
@@ -194,7 +192,6 @@ func run(ctx context.Context, opts options, logw io.Writer, ready chan<- string)
 		WALDisabled:      !opts.wal,
 		WALSync:          opts.walSync,
 		WALSyncInterval:  opts.walInterval,
-		BatchWindow:      opts.batchWindow,
 		MaxBatch:         opts.batchMax,
 		QueueDepth:       opts.queueDepth,
 		RetryAfter:       opts.retryAfter,

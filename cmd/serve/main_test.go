@@ -24,15 +24,14 @@ func TestServeLifecycle(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, options{
-			addr:        "127.0.0.1:0",
-			scheme:      "js",
-			k:           10,
-			maxBlock:    1000,
-			batchWindow: time.Millisecond,
-			batchMax:    16,
-			queueDepth:  64,
-			retryAfter:  time.Second,
-			metrics:     true,
+			addr:       "127.0.0.1:0",
+			scheme:     "js",
+			k:          10,
+			maxBlock:   1000,
+			batchMax:   16,
+			queueDepth: 64,
+			retryAfter: time.Second,
+			metrics:    true,
 		}, &logBuf, ready)
 	}()
 	var base string
@@ -135,16 +134,15 @@ func TestServeFaultFlag(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, options{
-			addr:        "127.0.0.1:0",
-			scheme:      "js",
-			k:           10,
-			maxBlock:    1000,
-			batchWindow: time.Millisecond,
-			batchMax:    1,
-			queueDepth:  64,
-			retryAfter:  time.Second,
-			faults:      faultFlags{"server.resolve:error,times=1"},
-			faultSeed:   7,
+			addr:       "127.0.0.1:0",
+			scheme:     "js",
+			k:          10,
+			maxBlock:   1000,
+			batchMax:   1,
+			queueDepth: 64,
+			retryAfter: time.Second,
+			faults:     faultFlags{"server.resolve:error,times=1"},
+			faultSeed:  7,
 		}, io.Discard, ready)
 	}()
 	var base string
@@ -197,16 +195,15 @@ func TestServeSharded(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, options{
-			addr:        "127.0.0.1:0",
-			scheme:      "js",
-			k:           10,
-			maxBlock:    1000,
-			shards:      4,
-			shardQueue:  2,
-			batchWindow: time.Millisecond,
-			batchMax:    16,
-			queueDepth:  64,
-			retryAfter:  time.Second,
+			addr:       "127.0.0.1:0",
+			scheme:     "js",
+			k:          10,
+			maxBlock:   1000,
+			shards:     4,
+			shardQueue: 2,
+			batchMax:   16,
+			queueDepth: 64,
+			retryAfter: time.Second,
 		}, io.Discard, ready)
 	}()
 	var base string

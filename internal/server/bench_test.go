@@ -4,22 +4,20 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"metablocking/internal/core"
 	"metablocking/internal/incremental"
 )
 
 // BenchmarkServerResolve measures the batched resolve path end to end
-// (admission queue → micro-batch → index pass → reply), with concurrent
+// (admission queue → batch → index pass → reply), with concurrent
 // submitters so batches actually coalesce.
 func BenchmarkServerResolve(b *testing.B) {
 	profiles := testProfiles(b, 1000)
 	s, err := New(Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		BatchWindow: 200 * time.Microsecond,
-		MaxBatch:    64,
-		QueueDepth:  8192,
+		Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+		MaxBatch:   64,
+		QueueDepth: 8192,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -55,11 +53,10 @@ func BenchmarkServerResolveShards(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			s, err := New(Config{
-				Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-				Shards:      shards,
-				BatchWindow: 200 * time.Microsecond,
-				MaxBatch:    64,
-				QueueDepth:  8192,
+				Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+				Shards:     shards,
+				MaxBatch:   64,
+				QueueDepth: 8192,
 			})
 			if err != nil {
 				b.Fatal(err)

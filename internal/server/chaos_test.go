@@ -27,19 +27,24 @@ import (
 // exactly one concurrent request fails (with a *par.PanicError), its
 // batch-mates all succeed with dense IDs, the batcher survives, and
 // server.panics_recovered reads 1.
+//
+// The writer is stalled while the six requests are admitted, so they
+// flush in at most two batches: whatever the batcher took before the
+// stall, then everything queued behind it. The panic fires on the second
+// profile resolved, which therefore shares a batch whichever way the six
+// split.
 func TestInjectedPanicFailsOneRequestOnly(t *testing.T) {
 	inj := fault.New(1)
-	inj.Arm(FaultResolve, fault.Spec{Panic: true, Times: 1})
+	inj.Arm(FaultResolve, fault.Spec{Panic: true, After: 1, Times: 1})
 	s := newTestServer(t, Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 5},
-		BatchWindow: 20 * time.Millisecond,
-		MaxBatch:    16,
-		QueueDepth:  64,
-		Fault:       inj,
-	})
+		Resolver:   incremental.Config{Scheme: core.JS, K: 5},
+		MaxBatch:   16,
+		QueueDepth: 64,
+	}, WithFault(inj))
 	const n = 6
 	profiles := testProfiles(t, n+1)
 
+	s.mu.Lock() // stall the flush so the requests queue behind it
 	var wg sync.WaitGroup
 	errc := make(chan error, n)
 	ids := make(chan int, n)
@@ -55,9 +60,14 @@ func TestInjectedPanicFailsOneRequestOnly(t *testing.T) {
 			ids <- int(res.ID)
 		}(i)
 	}
+	waitAccepted(t, s, n)
+	s.mu.Unlock()
 	wg.Wait()
 	close(errc)
 	close(ids)
+	if got := s.Metrics().Counter(CtrBatches).Value(); got > 2 {
+		t.Fatalf("%d requests flushed in %d batches, want ≤ 2", n, got)
+	}
 
 	var failures []error
 	for err := range errc {
@@ -100,8 +110,7 @@ func TestInjectedPanicHTTP500(t *testing.T) {
 		Resolver:   incremental.Config{Scheme: core.CBS},
 		MaxBatch:   1,
 		QueueDepth: 64,
-		Fault:      inj,
-	})
+	}, WithFault(inj))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -138,10 +147,9 @@ func TestDegradedModeServesReads(t *testing.T) {
 		Resolver:         incremental.Config{Scheme: core.JS, K: 5},
 		MaxBatch:         1, // one request per index pass: deterministic breaker stepping
 		QueueDepth:       64,
-		Fault:            inj,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
-	}, WithClock(clk.now))
+	}, WithClock(clk.now), WithFault(inj))
 	profiles := testProfiles(t, 8)
 	ctx := context.Background()
 
@@ -210,10 +218,9 @@ func TestFailedProbeReopens(t *testing.T) {
 		Resolver:         incremental.Config{Scheme: core.CBS},
 		MaxBatch:         1,
 		QueueDepth:       64,
-		Fault:            inj,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Minute,
-	}, WithClock(clk.now))
+	}, WithClock(clk.now), WithFault(inj))
 	profiles := testProfiles(t, 3)
 	ctx := context.Background()
 
@@ -250,10 +257,9 @@ func TestCorruptReloadNeverTouchesLiveIndex(t *testing.T) {
 	bad := filepath.Join(dir, "bad.snap")
 
 	s := newTestServer(t, Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 5},
-		BatchWindow: time.Millisecond,
-		MaxBatch:    16,
-		QueueDepth:  4096, // never shed: every in-flight request must succeed
+		Resolver:   incremental.Config{Scheme: core.JS, K: 5},
+		MaxBatch:   16,
+		QueueDepth: 4096, // never shed: every in-flight request must succeed
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -388,9 +394,8 @@ func TestRequestTimeout(t *testing.T) {
 		Resolver:       incremental.Config{Scheme: core.CBS},
 		MaxBatch:       1,
 		QueueDepth:     64,
-		Fault:          inj,
 		RequestTimeout: 50 * time.Millisecond,
-	})
+	}, WithFault(inj))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -4,12 +4,13 @@
 //
 // Three serving-stack shapes make it production-grade:
 //
-//   - Micro-batching. Concurrent /v1/resolve requests are coalesced into
+//   - Group commit. Concurrent /v1/resolve requests are coalesced into
 //     one index pass: a single batcher goroutine — the only writer —
-//     drains the admission queue for up to BatchWindow or MaxBatch
-//     arrivals and feeds them to Resolver.AddBatch under one lock
-//     acquisition. Responses are identical to processing the same
-//     arrival order one at a time.
+//     takes every arrival already queued (up to MaxBatch) and resolves
+//     them under one lock acquisition, without waiting for more. What
+//     arrives during a pass forms the next batch, so batches grow with
+//     load. Responses are identical to processing the same arrival
+//     order one at a time.
 //   - Backpressure. Admission is a bounded queue; when it is full the
 //     server sheds load immediately (ErrQueueFull → HTTP 429 with
 //     Retry-After) instead of building an unbounded backlog. Accepted
@@ -105,10 +106,8 @@ type Config struct {
 	// ShardQueueDepth bounds each shard actor's admission queue when
 	// Shards > 1. Default 2.
 	ShardQueueDepth int
-	// BatchWindow is how long the batcher waits for more arrivals after
-	// the first one before flushing a partial batch. Default 2ms.
-	BatchWindow time.Duration
-	// MaxBatch caps arrivals per index pass. Default 64.
+	// MaxBatch caps arrivals per index pass, which bounds how long one
+	// pass holds the write lock. Default 64.
 	MaxBatch int
 	// QueueDepth bounds the admission queue; a full queue sheds load
 	// with ErrQueueFull. Default 1024.
@@ -116,20 +115,6 @@ type Config struct {
 	// RetryAfter is the advisory client back-off sent with 429 responses.
 	// Default 1s.
 	RetryAfter time.Duration
-	// Metrics receives the server's counters; nil creates a private
-	// registry (exposed at /metrics either way).
-	//
-	// Deprecated: prefer the WithMetrics option to New. The field keeps
-	// working for one release; an option takes precedence when both are
-	// set.
-	Metrics *obs.Metrics
-	// Fault is consulted at the server's named fault sites (FaultResolve).
-	// Nil is a no-op: zero cost on the hot path.
-	//
-	// Deprecated: prefer the WithFault option to New. The field keeps
-	// working for one release; an option takes precedence when both are
-	// set.
-	Fault *fault.Injector
 	// RequestTimeout bounds each HTTP request handled by Handler with a
 	// per-request context deadline. Zero disables the deadline.
 	RequestTimeout time.Duration
@@ -175,7 +160,7 @@ type Config struct {
 	WALDisabled bool
 	// WALSync picks the log's fsync policy — cmd/serve -wal-sync:
 	//
-	//	"always"    group commit: one fsync per micro-batch, before any
+	//	"always"    group commit: one fsync per batch, before any
 	//	            commit in it is acknowledged. Acknowledged writes
 	//	            survive process crash AND power loss. Default.
 	//	"interval"  fsync every WALSyncInterval. Acknowledged writes
@@ -192,26 +177,31 @@ type Config struct {
 	// Default 100ms.
 	WALSyncInterval time.Duration
 
+	// metrics receives the server's counters (WithMetrics); nil creates
+	// a private registry, exposed at /metrics either way.
+	metrics *obs.Metrics
+	// fault is consulted at the server's named fault sites (WithFault).
+	// Nil is a no-op: zero cost on the hot path.
+	fault *fault.Injector
 	// breakerNow overrides the breaker's clock in tests.
 	breakerNow func() time.Time
 }
 
 // Option adjusts a server at construction time — the home for
-// cross-cutting dependencies (metrics, fault injection, clocks) that
-// used to be Config fields, and for test-only hooks that never belonged
-// in the public struct.
+// cross-cutting dependencies (metrics, fault injection, clocks) and for
+// test-only hooks that do not belong in the public struct.
 type Option func(*Config)
 
 // WithMetrics directs the server's counters and gauges into m.
 func WithMetrics(m *obs.Metrics) Option {
-	return func(c *Config) { c.Metrics = m }
+	return func(c *Config) { c.metrics = m }
 }
 
 // WithFault installs a fault injector, consulted at the server's named
 // sites (FaultResolve, and the per-shard shard.GatherSite /
 // shard.CommitSite when Shards > 1).
 func WithFault(in *fault.Injector) Option {
-	return func(c *Config) { c.Fault = in }
+	return func(c *Config) { c.fault = in }
 }
 
 // WithClock overrides the circuit breaker's time source — the test hook
@@ -250,9 +240,6 @@ func (c Config) withDefaults() Config {
 			c.WALSyncInterval = 100 * time.Millisecond
 		}
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -262,8 +249,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewMetrics()
+	if c.metrics == nil {
+		c.metrics = obs.NewMetrics()
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
@@ -340,7 +327,7 @@ type Server struct {
 	replyPool sync.Pool
 
 	// batchBuf and outcomeBuf are the batcher goroutine's reusable batch
-	// scratch: one micro-batch pass allocates nothing in steady state.
+	// scratch: one batch pass allocates nothing in steady state.
 	// Only the batcher touches them.
 	batchBuf   []job
 	outcomeBuf []jobResult
@@ -371,9 +358,8 @@ type Server struct {
 
 // New validates the configuration, builds an empty serving index —
 // monolithic, or sharded behind the internal/shard coordinator when
-// cfg.Shards > 1 — and starts the batcher. Options apply after the
-// struct fields, so WithMetrics/WithFault/WithClock win over the
-// deprecated Config fields. Call Close to stop the server.
+// cfg.Shards > 1 — and starts the batcher. Call Close to stop the
+// server.
 func New(cfg Config, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(&cfg)
@@ -396,7 +382,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		metrics:  cfg.Metrics,
+		metrics:  cfg.metrics,
 		resolver: r,
 		queue:    make(chan job, cfg.QueueDepth),
 		batchBuf: make([]job, 0, cfg.MaxBatch),
@@ -467,19 +453,19 @@ func newIndex(cfg Config) (incremental.Index, error) {
 // shard reply's weighed-neighbor count lands in budget.gathered as it
 // arrives (the single-index path mirrors this via LastWeighed in flush).
 func shardConfig(cfg Config) shard.Config {
-	gathered := cfg.Metrics.Counter(budget.CtrGathered)
+	gathered := cfg.metrics.Counter(budget.CtrGathered)
 	return shard.Config{
 		Resolver:       cfg.Resolver,
 		Shards:         cfg.Shards,
 		QueueDepth:     cfg.ShardQueueDepth,
-		Fault:          cfg.Fault,
-		Metrics:        cfg.Metrics,
+		Fault:          cfg.fault,
+		Metrics:        cfg.metrics,
 		MemtableBudget: cfg.MemtableBudget,
 		OnGather:       func(_, weighed int) { gathered.Add(int64(weighed)) },
 	}
 }
 
-// Resolve admits the profile, waits for its micro-batch to flush, and
+// Resolve admits the profile, waits for its batch to flush, and
 // returns the assigned ID and pruned candidates. It returns ErrQueueFull
 // when the admission queue is at capacity, ErrDraining after Close has
 // begun, and ctx.Err() if the caller gives up first — in which case the
@@ -669,29 +655,28 @@ func (s *Server) SnapshotFile(path string) (int, error) {
 // by GET /v1/admin/status — the introspectable replacement for fishing
 // tunables out of /debug/vars.
 type ConfigStatus struct {
-	Scheme           string `json:"scheme"`
-	K                int    `json:"k"`
-	MaxBlockSize     int    `json:"max_block_size"`
-	MinTokenLength   int    `json:"min_token_length"`
-	Shards           int    `json:"shards"`
-	ShardQueueDepth  int    `json:"shard_queue_depth,omitempty"`
-	BatchWindowMs    int64  `json:"batch_window_ms"`
-	MaxBatch         int    `json:"max_batch"`
-	QueueDepth       int    `json:"queue_depth"`
-	RetryAfterMs     int64  `json:"retry_after_ms"`
-	RequestTimeoutMs int64  `json:"request_timeout_ms"`
-	BreakerThreshold int    `json:"breaker_threshold"`
-	BreakerCooldownMs int64 `json:"breaker_cooldown_ms"`
-	StreamBatch      int    `json:"stream_batch"`
+	Scheme            string `json:"scheme"`
+	K                 int    `json:"k"`
+	MaxBlockSize      int    `json:"max_block_size"`
+	MinTokenLength    int    `json:"min_token_length"`
+	Shards            int    `json:"shards"`
+	ShardQueueDepth   int    `json:"shard_queue_depth,omitempty"`
+	MaxBatch          int    `json:"max_batch"`
+	QueueDepth        int    `json:"queue_depth"`
+	RetryAfterMs      int64  `json:"retry_after_ms"`
+	RequestTimeoutMs  int64  `json:"request_timeout_ms"`
+	BreakerThreshold  int    `json:"breaker_threshold"`
+	BreakerCooldownMs int64  `json:"breaker_cooldown_ms"`
+	StreamBatch       int    `json:"stream_batch"`
 
 	// Disk-mode knobs; omitted when serving in-memory.
-	DiskDir          string `json:"disk_dir,omitempty"`
-	MemtableBudget   int    `json:"memtable_budget,omitempty"`
-	DiskCacheBytes   int    `json:"disk_cache_bytes,omitempty"`
-	DiskCompactAfter int    `json:"disk_compact_after,omitempty"`
-	WalSync          string `json:"wal_sync,omitempty"`
-	WalSyncIntervalMs int64 `json:"wal_sync_interval_ms,omitempty"`
-	WalDisabled      bool   `json:"wal_disabled,omitempty"`
+	DiskDir           string `json:"disk_dir,omitempty"`
+	MemtableBudget    int    `json:"memtable_budget,omitempty"`
+	DiskCacheBytes    int    `json:"disk_cache_bytes,omitempty"`
+	DiskCompactAfter  int    `json:"disk_compact_after,omitempty"`
+	WalSync           string `json:"wal_sync,omitempty"`
+	WalSyncIntervalMs int64  `json:"wal_sync_interval_ms,omitempty"`
+	WalDisabled       bool   `json:"wal_disabled,omitempty"`
 }
 
 // Status is the GET /v1/admin/status payload: effective configuration,
@@ -728,7 +713,6 @@ func (s *Server) Status() Status {
 			MaxBlockSize:      cfg.Resolver.MaxBlockSize,
 			MinTokenLength:    cfg.Resolver.MinTokenLength,
 			Shards:            cfg.Shards,
-			BatchWindowMs:     cfg.BatchWindow.Milliseconds(),
 			MaxBatch:          cfg.MaxBatch,
 			QueueDepth:        cfg.QueueDepth,
 			RetryAfterMs:      cfg.RetryAfter.Milliseconds(),
@@ -801,6 +785,11 @@ func (s *Server) Close() error {
 }
 
 // batcher is the single writer: it owns every mutation of the resolver.
+// It runs group commit: take the first queued job, drain whatever else
+// is already queued (up to MaxBatch) without waiting, and flush. Jobs
+// that arrive while a flush holds mu queue up and form the next batch,
+// so batch size follows load. The shutdown drain is the same fill, run
+// until the queue is empty.
 func (s *Server) batcher() {
 	defer close(s.done)
 	for {
@@ -809,47 +798,20 @@ func (s *Server) batcher() {
 			s.flush(s.fill(first))
 		case <-s.stopc:
 			// draining is set before stopc closes and submitters check
-			// it under submitMu, so the queue can only shrink now.
-			for {
-				select {
-				case first := <-s.queue:
-					s.flush(s.fillQueued(first))
-				default:
-					return
-				}
+			// it under submitMu, so the queue can only shrink now, and
+			// only this goroutine receives from it.
+			for len(s.queue) > 0 {
+				s.flush(s.fill(<-s.queue))
 			}
+			return
 		}
 	}
 }
 
-// fill gathers a micro-batch: the first job plus whatever else arrives
-// within BatchWindow, capped at MaxBatch. The batch is built in the
+// fill gathers a batch: the first job plus whatever is already queued,
+// capped at MaxBatch. It never waits. The batch is built in the
 // batcher-owned scratch buffer; flush returns it after answering.
 func (s *Server) fill(first job) []job {
-	batch := append(s.batchBuf[:0], first)
-	if s.cfg.MaxBatch == 1 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case j := <-s.queue:
-			batch = append(batch, j)
-		case <-timer.C:
-			return batch
-		case <-s.stopc:
-			// Finish this batch immediately; the drain loop answers the
-			// rest of the queue.
-			return batch
-		}
-	}
-	return batch
-}
-
-// fillQueued gathers a batch without waiting — used by the drain loop,
-// when no new arrivals are possible.
-func (s *Server) fillQueued(first job) []job {
 	batch := append(s.batchBuf[:0], first)
 	for len(batch) < s.cfg.MaxBatch {
 		select {
@@ -863,7 +825,7 @@ func (s *Server) fillQueued(first job) []job {
 }
 
 // flush runs one index pass over the batch and answers every job. The
-// write lock is taken once per batch — this is the micro-batching win —
+// write lock is taken once per batch — this is the group-commit win —
 // and is the same lock Reload swaps under. Within the pass each job is
 // processed by a guarded addOne (AddBatch is semantically that same
 // loop), so an injected fault or a panic fails only its own request:
@@ -941,7 +903,7 @@ func (s *Server) flush(batch []job) {
 // syncWALLocked is the group-commit barrier of the "always" sync
 // policy: after the batch's commits land in the memtables and before
 // any reply is sent, every shard's write-ahead log is fsynced once —
-// one barrier amortized over the whole micro-batch. If the barrier
+// one barrier amortized over the whole batch. If the barrier
 // fails, the commits that rode on it cannot be acknowledged as
 // durable, so their successful outcomes are rewritten into errors.
 // The commits themselves stand (the IDs are consumed); a client that
@@ -985,7 +947,7 @@ func (s *Server) addOne(p entity.Profile) (res incremental.BatchResult, err erro
 			res, err = incremental.BatchResult{}, pe
 		}
 	}()
-	if err := s.cfg.Fault.Check(FaultResolve); err != nil {
+	if err := s.cfg.fault.Check(FaultResolve); err != nil {
 		return incremental.BatchResult{}, err
 	}
 	return s.resolver.Resolve(p)
@@ -1034,7 +996,7 @@ func (s *Server) resumeOne(j job) (out jobResult) {
 	if !ok {
 		return jobResult{err: errors.New("server: backend does not support resume")}
 	}
-	if err := s.cfg.Fault.Check(FaultResolve); err != nil {
+	if err := s.cfg.fault.Check(FaultResolve); err != nil {
 		return jobResult{err: err}
 	}
 	cands, err := r.PeekExcluding(j.profile, j.exclude)

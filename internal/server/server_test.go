@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"metablocking/internal/core"
-	"metablocking/internal/dataio"
 	"metablocking/internal/datagen"
+	"metablocking/internal/dataio"
 	"metablocking/internal/entity"
 	"metablocking/internal/incremental"
 	"metablocking/internal/loadgen"
@@ -57,16 +57,31 @@ func newTestServer(t testing.TB, cfg Config, opts ...Option) *Server {
 	return s
 }
 
+// waitAccepted polls until n requests have been admitted. The caller
+// holds s.mu to stall the writer, so the admitted requests are queued
+// behind the flush in progress. On timeout the lock is released before
+// failing, so cleanup can still drain the server.
+func waitAccepted(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.metrics.Counter(CtrAccepted).Value() < int64(n) {
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatalf("accepted %d requests, want %d", s.metrics.Counter(CtrAccepted).Value(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBatchedEqualsSerial is the acceptance load test: ≥8 concurrent
 // clients drive ≥1k requests through the HTTP micro-batching path, and
 // the responses must be identical — IDs, candidate sets, exact weights —
 // to a serial one-at-a-time Resolver fed the same arrival order.
 func TestBatchedEqualsSerial(t *testing.T) {
 	cfg := Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		BatchWindow: time.Millisecond,
-		MaxBatch:    32,
-		QueueDepth:  4096, // never shed: every request participates
+		Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+		MaxBatch:   32,
+		QueueDepth: 4096, // never shed: every request participates
 	}
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -126,15 +141,78 @@ func TestBatchedEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestGroupCommitCoalesces pins where batching comes from: the queue,
+// not a timer. With the writer stalled, 16 concurrent requests queue up;
+// once released they flush in at most two batches (whatever the batcher
+// took before the stall, then everything queued behind it), get dense
+// IDs, and answer exactly as a serial Resolver fed the same ID order.
+func TestGroupCommitCoalesces(t *testing.T) {
+	const n = 16
+	cfg := Config{
+		Resolver:   incremental.Config{Scheme: core.JS, K: 10},
+		MaxBatch:   64,
+		QueueDepth: 64,
+	}
+	s := newTestServer(t, cfg)
+	profiles := testProfiles(t, n)
+
+	s.mu.Lock() // stall the flush so the requests queue behind it
+	results := make([]Resolution, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range profiles {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = s.Resolve(context.Background(), profiles[i])
+		}(i)
+	}
+	waitAccepted(t, s, n)
+	s.mu.Unlock()
+	wg.Wait()
+
+	byID := make([]int, n) // ID → index into profiles
+	seen := make([]bool, n)
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if res.ID < 0 || int(res.ID) >= n || seen[res.ID] {
+			t.Fatalf("IDs not dense 0..%d: got %d", n-1, res.ID)
+		}
+		seen[res.ID] = true
+		byID[res.ID] = i
+	}
+	serial, err := incremental.NewResolver(cfg.Resolver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, i := range byID {
+		_, want := serial.Add(profiles[i])
+		got := results[i].Candidates
+		if len(got) != len(want) {
+			t.Fatalf("arrival %d: %d candidates, serial wants %d", id, len(got), len(want))
+		}
+		for k := range want {
+			if got[k].ID != want[k].ID || got[k].Weight != want[k].Weight {
+				t.Fatalf("arrival %d candidate %d: got (%d, %v), want (%d, %v)",
+					id, k, got[k].ID, got[k].Weight, want[k].ID, want[k].Weight)
+			}
+		}
+	}
+	if got := s.Metrics().Counter(CtrBatches).Value(); got > 2 {
+		t.Fatalf("%d queued requests flushed in %d batches, want ≤ 2", n, got)
+	}
+}
+
 // TestQueueOverflowSheds stalls the single writer, overflows the bounded
 // queue, and checks that surplus requests are shed with ErrQueueFull while
 // every accepted request still gets its answer.
 func TestQueueOverflowSheds(t *testing.T) {
 	s := newTestServer(t, Config{
-		Resolver:    incremental.Config{Scheme: core.CBS},
-		MaxBatch:    1,
-		QueueDepth:  2,
-		BatchWindow: time.Millisecond,
+		Resolver:   incremental.Config{Scheme: core.CBS},
+		MaxBatch:   1,
+		QueueDepth: 2,
 	})
 	profiles := testProfiles(t, 1)
 
@@ -202,11 +280,10 @@ func TestQueueOverflowSheds(t *testing.T) {
 // with a Retry-After header, and eventual success for accepted posts.
 func TestHTTPQueueOverflow429(t *testing.T) {
 	s := newTestServer(t, Config{
-		Resolver:    incremental.Config{Scheme: core.CBS},
-		MaxBatch:    1,
-		QueueDepth:  1,
-		BatchWindow: time.Millisecond,
-		RetryAfter:  3 * time.Second,
+		Resolver:   incremental.Config{Scheme: core.CBS},
+		MaxBatch:   1,
+		QueueDepth: 1,
+		RetryAfter: 3 * time.Second,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -274,10 +351,9 @@ func TestReloadZeroFailures(t *testing.T) {
 	}
 
 	s := newTestServer(t, Config{
-		Resolver:    resolverCfg,
-		BatchWindow: time.Millisecond,
-		MaxBatch:    16,
-		QueueDepth:  4096,
+		Resolver:   resolverCfg,
+		MaxBatch:   16,
+		QueueDepth: 4096,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -336,13 +412,14 @@ func TestReloadZeroFailures(t *testing.T) {
 }
 
 // TestGracefulCloseDrains verifies that Close answers every accepted
-// request and rejects new ones with ErrDraining.
+// request and rejects new ones with ErrDraining. The writer is stalled
+// while the requests are admitted and released only once Close has
+// begun, so jobs are still queued behind the flush when the drain starts.
 func TestGracefulCloseDrains(t *testing.T) {
 	s := newTestServer(t, Config{
-		Resolver:    incremental.Config{Scheme: core.CBS},
-		BatchWindow: 50 * time.Millisecond, // long window: Close must cut it short
-		MaxBatch:    8,
-		QueueDepth:  64,
+		Resolver:   incremental.Config{Scheme: core.CBS},
+		MaxBatch:   8,
+		QueueDepth: 64,
 	})
 	profiles := testProfiles(t, 5)
 
@@ -351,6 +428,7 @@ func TestGracefulCloseDrains(t *testing.T) {
 		err error
 	}
 	results := make(chan outcome, len(profiles))
+	s.mu.Lock()
 	for i := range profiles {
 		go func(p entity.Profile) {
 			res, err := s.Resolve(context.Background(), p)
@@ -358,14 +436,14 @@ func TestGracefulCloseDrains(t *testing.T) {
 		}(profiles[i])
 	}
 	// Wait for all five to be admitted, then drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.Counter(CtrAccepted).Value() < int64(len(profiles)) {
-		if time.Now().After(deadline) {
-			t.Fatal("submissions not admitted")
-		}
+	waitAccepted(t, s, len(profiles))
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for s.Ready() {
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.Close(); err != nil {
+	s.mu.Unlock()
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[entity.ID]bool)
@@ -394,10 +472,9 @@ func TestGracefulCloseDrains(t *testing.T) {
 // still processed; only the reply is dropped.
 func TestResolveContextCanceled(t *testing.T) {
 	s := newTestServer(t, Config{
-		Resolver:    incremental.Config{Scheme: core.CBS},
-		MaxBatch:    1,
-		QueueDepth:  4,
-		BatchWindow: time.Millisecond,
+		Resolver:   incremental.Config{Scheme: core.CBS},
+		MaxBatch:   1,
+		QueueDepth: 4,
 	})
 	profiles := testProfiles(t, 1)
 

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"metablocking/internal/core"
 	"metablocking/internal/dataio"
@@ -31,11 +30,10 @@ func TestShardedBatchedEqualsSerial(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for _, clients := range []int{1, 4} {
 			cfg := Config{
-				Resolver:    incremental.Config{Scheme: core.ECBS, K: 5},
-				Shards:      shards,
-				BatchWindow: time.Millisecond,
-				MaxBatch:    32,
-				QueueDepth:  4096, // never shed: every request participates
+				Resolver:   incremental.Config{Scheme: core.ECBS, K: 5},
+				Shards:     shards,
+				MaxBatch:   32,
+				QueueDepth: 4096, // never shed: every request participates
 			}
 			s := newTestServer(t, cfg)
 			ts := httptest.NewServer(s.Handler())

@@ -143,7 +143,7 @@ type Maintainer interface {
 	// off the request path, after a seal's reply is sent.
 	MaybeCompact() (bool, error)
 	// SyncWAL fsyncs the backend's write-ahead log — the group-commit
-	// barrier the serving layer invokes per micro-batch (sync policy
+	// barrier the serving layer invokes per batch (sync policy
 	// "always") or on a timer ("interval"). A no-op when the WAL is
 	// disabled or already clean.
 	SyncWAL() error

@@ -222,7 +222,7 @@ func walString(b []byte) (string, []byte, error) {
 // frame to the OS with a single write, so a SIGKILL'd process loses at
 // most the record it had not yet been acknowledged for; Sync is the
 // fsync boundary that extends the guarantee to power loss, invoked per
-// micro-batch (group commit), on a timer, or never, per the sync
+// batch (group commit), on a timer, or never, per the sync
 // policy.
 type WalWriter struct {
 	f       *os.File

@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench_json.sh — emit the headline benchmark trajectory as machine-readable
-# JSON (the BENCH_PR10.json format): ns/op, B/op, allocs/op for the serial
+# JSON (the BENCH_PR13.json format): ns/op, B/op, allocs/op for the serial
 # pipeline, the batched server resolve path (monolithic plus the 4- and
 # 16-shard scatter-gather sweep) and the out-of-core read path (cold and
 # warm page cache), plus p50/p99 request latency under concurrent load —
@@ -13,7 +13,7 @@
 # With no argument the JSON goes to stdout. To refresh the committed
 # trajectory after an intentional performance change:
 #   sh scripts/bench_json.sh fresh.json
-#   # inspect fresh.json, then fold its numbers into BENCH_PR10.json's
+#   # inspect fresh.json, then fold its numbers into BENCH_PR13.json's
 #   # "benchmarks" section (keep "baseline" as the historical record).
 set -eu
 
